@@ -10,6 +10,7 @@ error, 3 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,9 +192,8 @@ def cmd_evaluate(args):
     _echo_config(out_dir, "evaluate", cfg, manifest=str(args.manifest),
                  checkpoint=str(args.checkpoint), split=args.split)
     manifest = load_manifest(args.manifest)
-    params, model_config, stft_config, stored = _checkpoint_setup(
-        args.checkpoint)
-    eval_config = build_train_config(cfg)
+    params, model_config, stft_config, _ = _checkpoint_setup(args.checkpoint)
+    eval_config = replace(build_train_config(cfg), stft=stft_config)
     entries = manifest.split_entries(args.split)
     if not entries:
         raise DataError(f"split {args.split!r} is empty")

@@ -22,6 +22,8 @@ from .errors import DataError
 
 NOISE_KINDS = ("white", "bandpass", "modulated")
 BUCKET_RATIO = 1.25
+PREFETCH_THREAD = "sase-prefetch"
+PREFETCH_POLL_S = 0.1  # how often a blocked worker checks for a stop
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,8 @@ def make_batches(entries, batch_size, seed, stft_config=StftConfig()):
 
 def iter_loaded_batches(manifest, batches, prefetch=2):
     """Yield lists of UtterancePairs; a worker thread stays one batch
-    ahead of the consumer so decoding overlaps compute."""
+    ahead of the consumer so decoding overlaps compute. Closing the
+    generator (or dropping it when the consumer raises) stops the worker."""
     if prefetch < 1:
         for batch in batches:
             yield [load_pair(manifest, e) for e in batch]
@@ -328,24 +331,35 @@ def iter_loaded_batches(manifest, batches, prefetch=2):
     q = queue.Queue(maxsize=prefetch)
     sentinel = object()
     fail = []
+    stop = threading.Event()
+
+    def put(item):
+        while not stop.is_set():
+            try:
+                q.put(item, timeout=PREFETCH_POLL_S)
+                return True
+            except queue.Full:
+                pass
+        return False
 
     def worker():
         try:
             for batch in batches:
-                q.put([load_pair(manifest, e) for e in batch])
+                if not put([load_pair(manifest, e) for e in batch]):
+                    return
         except BaseException as exc:  # surfaced on the consumer side
             fail.append(exc)
         finally:
-            q.put(sentinel)
+            put(sentinel)
 
-    thread = threading.Thread(target=worker, daemon=True)
+    thread = threading.Thread(target=worker, name=PREFETCH_THREAD, daemon=True)
     thread.start()
-    while True:
-        item = q.get()
-        if item is sentinel:
-            break
-        yield item
-    thread.join()
+    try:
+        while (item := q.get()) is not sentinel:
+            yield item
+    finally:
+        stop.set()
+        thread.join()
     if fail:
         raise fail[0]
 

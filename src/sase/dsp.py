@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .autodiff import Tensor, _primitive, as_tensor, div, mul
+from .autodiff import Tensor, _primitive, _record, as_tensor, div, mul
 from .errors import DataError, ShapeError
 
 EPS = 1e-8
@@ -194,7 +194,6 @@ def irfft_cols(re, im, dft_size):
         g_im[0] = g_im[-1] = 0.0
         return g_re, g_im
 
-    from .autodiff import _record
     return _record(frames, (re, im), vjp, "irfft_cols")
 
 
@@ -209,7 +208,6 @@ def overlap_add(frames, hop):
     out = np.zeros(win + (n_frames - 1) * hop)
     np.add.at(out, idx, frames.data)
 
-    from .autodiff import _record
     return _record(out, (frames,), lambda g: (g[idx],), "overlap_add")
 
 

@@ -5,6 +5,7 @@ sequence features are (dim, K); a "column" is one time frame.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import (
     Tensor,
@@ -12,15 +13,11 @@ from .autodiff import (
     _record,
     as_tensor,
     broadcast_to,
-    concat,
     exp,
     leaky_relu,
     matmul,
-    reduce_mean,
     reduce_sum,
     reshape,
-    sqrt,
-    transpose,
 )
 from .errors import ShapeError
 
@@ -40,25 +37,11 @@ def linear(x, w, b=None):
 # ---------------------------------------------------------------------------
 # convolution
 
-def _conv_geometry(shape_in, kernel, padding, stride):
-    c_in, f_in, k_in = shape_in
-    kh, kw = kernel
-    ph, pw = padding
-    sh, sw = stride
-    f_out = (f_in + 2 * ph - kh) // sh + 1
-    k_out = (k_in + 2 * pw - kw) // sw + 1
-    return f_out, k_out
-
-
-def _patch_matrix(xp, kh, kw, sh, sw, f_out, k_out):
-    """(C*kh*kw, f_out*k_out) patch matrix from the padded map."""
-    c = xp.shape[0]
-    r = (np.arange(f_out) * sh)[:, None] + np.arange(kh)[None, :]
-    q = (np.arange(k_out) * sw)[:, None] + np.arange(kw)[None, :]
-    # index arrays broadcast to (f_out, k_out, kh, kw)
-    patches = xp[:, r[:, None, :, None], q[None, :, None, :]]
-    patches = patches.transpose(0, 3, 4, 1, 2)  # (C, kh, kw, f_out, k_out)
-    return patches.reshape(c * kh * kw, f_out * k_out)
+def _row_band(xp, kw, sw):
+    """(C, kw, F_pad, k_out) copy of the padded map: entry [c, j, r, q] is
+    xp[c, r, q*sw + j], so kernel row i reads band rows i, i+sh, ..."""
+    windows = sliding_window_view(xp, kw, axis=2)[:, :, ::sw]
+    return np.ascontiguousarray(windows.transpose(0, 3, 1, 2))
 
 
 @_primitive("conv2d")
@@ -66,8 +49,10 @@ def conv2d(x, w, b, padding=(2, 2), stride=(1, 1)):
     """Zero-padded 2-D cross-correlation.
 
     x: (C_in, F, K), w: (C_out, C_in, kh, kw), b: (C_out,).
-    The patch matrix is rebuilt inside the backward closure instead of
-    being captured, keeping tape memory at one padded copy per call.
+    One GEMM per kernel row against a (C_in*kw, f_out*k_out) row band, so
+    the working set is 1/kh of a full patch matrix. The band is rebuilt
+    inside the backward closure instead of being captured, keeping tape
+    memory at one padded copy per call.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 4 or x.shape[0] != w.shape[1]:
@@ -77,69 +62,81 @@ def conv2d(x, w, b, padding=(2, 2), stride=(1, 1)):
     c_out, c_in, kh, kw = w.shape
     ph, pw = padding
     sh, sw = stride
-    f_out, k_out = _conv_geometry(x.shape, (kh, kw), padding, stride)
+    _, f_in, k_in = x.shape
+    f_out = (f_in + 2 * ph - kh) // sh + 1
+    k_out = (k_in + 2 * pw - kw) // sw + 1
     if f_out < 1 or k_out < 1:
         raise ShapeError("conv2d", x.shape, w.shape, detail="kernel exceeds input")
 
     xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    patches = _patch_matrix(xp, kh, kw, sh, sw, f_out, k_out)
-    w2 = w.data.reshape(c_out, c_in * kh * kw)
-    out = (w2 @ patches + b.data[:, None]).reshape(c_out, f_out, k_out)
+    n = f_out * k_out
+    w_rows = [w.data[:, :, i, :].reshape(c_out, c_in * kw) for i in range(kh)]
+    rows = [slice(i, i + sh * (f_out - 1) + 1, sh) for i in range(kh)]
+
+    band = _row_band(xp, kw, sw)
+    out = np.repeat(b.data[:, None], n, axis=1)
+    term = np.empty((c_out, n))  # GEMM outputs reuse one buffer, not kh
+    for i in range(kh):
+        out += np.matmul(w_rows[i], band[:, :, rows[i]].reshape(c_in * kw, n),
+                         out=term)
 
     def vjp(g):
-        g2 = g.reshape(c_out, f_out * k_out)
-        p = _patch_matrix(xp, kh, kw, sh, sw, f_out, k_out)
-        g_w = (g2 @ p.T).reshape(w.shape)
-        g_b = g2.sum(axis=1)
-        col = (w2.T @ g2).reshape(c_in, kh, kw, f_out, k_out)
+        g2 = g.reshape(c_out, n)
+        g_w = np.empty(w.shape)
         g_xp = np.zeros_like(xp)
-        r = (np.arange(f_out) * sh)[:, None] + np.arange(kh)[None, :]
-        q = (np.arange(k_out) * sw)[:, None] + np.arange(kw)[None, :]
-        np.add.at(g_xp,
-                  (np.arange(c_in)[:, None, None, None, None],
-                   r[None, :, None, :, None],
-                   q[None, None, :, None, :]),
-                  col.transpose(0, 3, 4, 1, 2))
-        f_in, k_in = x.shape[1], x.shape[2]
-        g_x = g_xp[:, ph:ph + f_in, pw:pw + k_in]
-        return g_x, g_w, g_b
+        col = np.empty((c_in * kw, n))
+        band = _row_band(xp, kw, sw)
+        for i in range(kh):
+            patches = band[:, :, rows[i]].reshape(c_in * kw, n)
+            g_w[:, :, i, :] = (g2 @ patches.T).reshape(c_out, c_in, kw)
+            np.matmul(w_rows[i].T, g2, out=col)
+            parts = col.reshape(c_in, kw, f_out, k_out)
+            for j in range(kw):
+                g_xp[:, rows[i], j:j + sw * (k_out - 1) + 1:sw] += parts[:, j]
+        return g_xp[:, ph:ph + f_in, pw:pw + k_in], g_w, g2.sum(axis=1)
 
-    return _record(out, (x, w, b), vjp, "conv2d")
+    return _record(out.reshape(c_out, f_out, k_out), (x, w, b), vjp, "conv2d")
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
+def _normalize(x, scale, shift, axes, eps):
+    """Standardize x over ``axes``, then a per-index affine along axis 0.
+
+    One tape node with the closed-form vjp: with x_hat the standardized
+    input and g_hat = g * scale, d/dx = (g_hat - mean(g_hat)
+    - x_hat * mean(g_hat * x_hat)) / sd, means taken over ``axes``.
+    """
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
+    if scale.shape != (x.shape[0],) or shift.shape != scale.shape:
+        raise ShapeError("normalize", x.shape, scale.shape, shift.shape,
+                         detail="affine per index of axis 0")
+    col = (x.shape[0],) + (1,) * (x.data.ndim - 1)
+    rest = tuple(range(1, x.data.ndim))
+    a = scale.data.reshape(col)
+    centered = x.data - np.mean(x.data, axis=axes, keepdims=True)
+    sd = np.sqrt(np.mean(centered * centered, axis=axes, keepdims=True) + eps)
+    x_hat = centered / sd
+
+    def vjp(g):
+        g_hat = g * a
+        g_x = (g_hat - np.mean(g_hat, axis=axes, keepdims=True)
+               - x_hat * np.mean(g_hat * x_hat, axis=axes, keepdims=True)) / sd
+        return g_x, np.sum(g * x_hat, axis=rest), np.sum(g, axis=rest)
+
+    return _record(x_hat * a + shift.data.reshape(col), (x, scale, shift),
+                   vjp, "normalize")
+
+
 def instance_norm(x, scale, shift, eps=1e-5):
     """Per-channel normalization over the (F,K) plane, then affine."""
-    x = as_tensor(x)
-    c = x.shape[0]
-    mu = reduce_mean(x, axis=(1, 2))
-    mu_b = broadcast_to(reshape(mu, (c, 1, 1)), x.shape)
-    centered = x - mu_b
-    var = reduce_mean(centered * centered, axis=(1, 2))
-    sd = sqrt(var + eps)
-    sd_b = broadcast_to(reshape(sd, (c, 1, 1)), x.shape)
-    normed = centered / sd_b
-    scale_b = broadcast_to(reshape(as_tensor(scale), (c, 1, 1)), x.shape)
-    shift_b = broadcast_to(reshape(as_tensor(shift), (c, 1, 1)), x.shape)
-    return normed * scale_b + shift_b
+    return _normalize(x, scale, shift, (1, 2), eps)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-frame normalization over the feature axis of (N,K)."""
-    x = as_tensor(x)
-    n, k = x.shape
-    mu = reduce_mean(x, axis=0)
-    mu_b = broadcast_to(reshape(mu, (1, k)), x.shape)
-    centered = x - mu_b
-    var = reduce_mean(centered * centered, axis=0)
-    sd = sqrt(var + eps)
-    sd_b = broadcast_to(reshape(sd, (1, k)), x.shape)
-    normed = centered / sd_b
-    gamma_b = broadcast_to(reshape(as_tensor(gamma), (n, 1)), x.shape)
-    beta_b = broadcast_to(reshape(as_tensor(beta), (n, 1)), x.shape)
-    return normed * gamma_b + beta_b
+    """Per-frame normalization over the feature axis of (N,K), then affine."""
+    return _normalize(x, gamma, beta, (0,), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,20 @@ def test_evaluate_csv_round_trips(workspace, tmp_path):
     assert len(per) == 3  # one held-out test utterance per speaker
 
 
+def test_evaluate_uses_checkpoint_stft_config(workspace, tmp_path):
+    manifest = str(workspace["corpus"] / "manifest.jsonl")
+    assert main(["train", "--manifest", manifest,
+                 "--config", str(workspace["config"]),
+                 "--out-dir", str(tmp_path / "run"),
+                 "--override", "stft.dft_size=256",
+                 "--override", "stft.window_length=256",
+                 "--override", "model.n_bins=129"]) == 0
+    assert main(["evaluate", "--manifest", manifest,
+                 "--checkpoint", str(tmp_path / "run" / "final"),
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "evaluation.csv").exists()
+
+
 def test_evaluate_empty_split_fails(workspace, tmp_path):
     code = main(["evaluate", "--manifest",
                  str(workspace["corpus"] / "manifest.jsonl"),

@@ -1,10 +1,13 @@
 """Corpus generation, augmentation, batching, and protocol splits."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from sase.audio import read_wav
 from sase.data import (
+    PREFETCH_THREAD,
     Manifest,
     UtterancePair,
     corpus_digest,
@@ -22,7 +25,7 @@ from sase.data import (
     synthesize_speech,
 )
 from sase.dsp import StftConfig, frame_count
-from sase.errors import DataError
+from sase.errors import DataError, NumericalError
 
 SR = 16000
 
@@ -282,6 +285,31 @@ def test_prefetch_preserves_order(corpus):
     for eb, tb in zip(eager, threaded):
         for ep, tp in zip(eb, tb):
             np.testing.assert_array_equal(ep.mixture, tp.mixture)
+
+
+def _prefetch_threads():
+    return [t for t in threading.enumerate() if t.name == PREFETCH_THREAD]
+
+
+def test_prefetch_worker_stops_when_generator_closes(corpus):
+    batches = [[e] for e in corpus.entries[:6]]
+    loaded = iter_loaded_batches(corpus, batches, prefetch=1)
+    next(loaded)
+    assert _prefetch_threads()  # the worker is blocked on a full queue
+    loaded.close()
+    assert not _prefetch_threads()
+
+
+def test_prefetch_worker_stops_when_consumer_raises(corpus):
+    batches = [[e] for e in corpus.entries[:6]]
+
+    def consume():
+        for _ in iter_loaded_batches(corpus, batches, prefetch=1):
+            raise NumericalError("synthetic failure")
+
+    with pytest.raises(NumericalError):
+        consume()
+    assert not _prefetch_threads()
 
 
 def test_protocol_close(corpus):

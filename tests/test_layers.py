@@ -14,7 +14,12 @@ from sase.layers import (
     softmax_vec,
 )
 
-from helpers import check_param_gradients
+from helpers import (
+    check_param_gradients,
+    composed_instance_norm,
+    composed_layer_norm,
+    patch_matrix_conv2d,
+)
 
 
 def _naive_conv2d(x, w, b, padding, stride):
@@ -32,6 +37,26 @@ def _naive_conv2d(x, w, b, padding, stride):
                 window = xp[:, i * sh:i * sh + kh, j * sw:j * sw + kw]
                 out[o, i, j] = (window * w[o]).sum() + b[o]
     return out
+
+
+def _value_and_grads(fn, arrays, seed):
+    """fn(*arrays) and the tape gradient of <fn(*arrays), probe> w.r.t. each
+    array, for a random probe drawn from ``seed``."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape():
+        out = fn(*inputs)
+        probe = np.random.default_rng(seed).normal(size=out.shape)
+        grads = backward(reduce_sum(out * Tensor(probe)))
+    return out.data, [grads[t] for t in inputs]
+
+
+def _assert_matches_oracle(fn, oracle, arrays, seed):
+    out, grads = _value_and_grads(fn, arrays, seed)
+    want, want_grads = _value_and_grads(oracle, arrays, seed)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)
+    for got, ref in zip(grads, want_grads):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +153,114 @@ def test_conv_gradients_match_fd():
         return reduce_sum(out * Tensor(probe))
 
     check_param_gradients(params, forward)
+
+
+CONV_CASES = [
+    # (c_in, c_out, f, k, kernel, padding, stride)
+    (3, 2, 7, 6, (3, 3), (1, 1), (1, 1)),
+    (3, 2, 7, 6, (3, 3), (1, 1), (2, 1)),
+    (3, 2, 7, 6, (3, 3), (1, 1), (1, 2)),
+    (4, 3, 5, 6, (1, 1), (0, 0), (1, 1)),
+    (1, 4, 9, 8, (5, 5), (2, 2), (1, 1)),
+    (2, 3, 9, 1, (5, 5), (2, 2), (1, 1)),
+    (2, 3, 9, 8, (5, 3), (0, 1), (2, 3)),
+    (3, 2, 6, 7, (2, 4), (0, 0), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("c_in,c_out,f,k,kernel,padding,stride", CONV_CASES)
+def test_conv_matches_patch_matrix_oracle(c_in, c_out, f, k, kernel, padding,
+                                          stride):
+    rng = np.random.default_rng(c_in * 100 + f * 10 + k)
+    arrays = (rng.normal(size=(c_in, f, k)),
+              rng.normal(size=(c_out, c_in) + kernel), rng.normal(size=c_out))
+
+    def conv(fn):
+        return lambda x, w, b: fn(x, w, b, padding=padding, stride=stride)
+
+    _assert_matches_oracle(conv(conv2d), conv(patch_matrix_conv2d), arrays,
+                           seed=k)
+
+
+@pytest.mark.parametrize("padding,stride", [((1, 1), (2, 1)), ((0, 0), (1, 2)),
+                                            ((2, 1), (2, 2))])
+def test_strided_conv_gradients_match_fd(padding, stride):
+    rng = np.random.default_rng(14)
+    params = {
+        "x": Tensor(rng.normal(size=(2, 6, 5)), requires_grad=True),
+        "w": Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True),
+        "b": Tensor(rng.normal(size=3), requires_grad=True),
+    }
+    shape = conv2d(params["x"], params["w"], params["b"], padding=padding,
+                   stride=stride).shape
+    probe = rng.normal(size=shape)
+
+    def forward():
+        out = conv2d(params["x"], params["w"], params["b"], padding=padding,
+                     stride=stride)
+        return reduce_sum(out * Tensor(probe))
+
+    check_param_gradients(params, forward)
+
+
+def test_conv_records_one_node():
+    params = [Tensor(np.ones(s), requires_grad=True)
+              for s in ((2, 4, 4), (3, 2, 5, 5), (3,))]
+    with Tape() as tape:
+        conv2d(*params)
+    assert [node.name for node in tape.nodes] == ["conv2d"]
+
+
+# ---------------------------------------------------------------------------
+# fused norms against the composed oracles
+
+NORM_CASES = [
+    (instance_norm, composed_instance_norm, (3, 5, 4)),
+    (instance_norm, composed_instance_norm, (1, 6, 1)),
+    (layer_norm, composed_layer_norm, (6, 4)),
+    (layer_norm, composed_layer_norm, (5, 1)),
+]
+
+
+@pytest.mark.parametrize("norm,oracle,shape", NORM_CASES)
+def test_norm_matches_composed_oracle(norm, oracle, shape):
+    rng = np.random.default_rng(sum(shape))
+    arrays = (3.0 * rng.normal(size=shape) + 1.0, rng.normal(size=shape[0]),
+              rng.normal(size=shape[0]))
+    _assert_matches_oracle(norm, oracle, arrays, seed=len(shape))
+
+
+@pytest.mark.parametrize("norm,shape", [(instance_norm, (2, 4, 1)),
+                                        (layer_norm, (7, 1))])
+def test_norm_gradients_match_fd_on_single_frame(norm, shape):
+    rng = np.random.default_rng(15)
+    params = {
+        "x": Tensor(rng.normal(size=shape), requires_grad=True),
+        "scale": Tensor(rng.normal(size=shape[0]), requires_grad=True),
+        "shift": Tensor(rng.normal(size=shape[0]), requires_grad=True),
+    }
+    probe = rng.normal(size=shape)
+
+    def forward():
+        out = norm(params["x"], params["scale"], params["shift"])
+        return reduce_sum(out * Tensor(probe))
+
+    check_param_gradients(params, forward)
+
+
+@pytest.mark.parametrize("norm,shape", [(instance_norm, (2, 3, 4)),
+                                        (layer_norm, (6, 4))])
+def test_norm_records_one_node(norm, shape):
+    with Tape() as tape:
+        norm(Tensor(np.ones(shape), requires_grad=True), np.ones(shape[0]),
+             np.zeros(shape[0]))
+    assert len(tape) == 1
+
+
+def test_norm_rejects_mismatched_affine():
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(np.zeros((4, 3))), Tensor(np.ones(3)),
+                   Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

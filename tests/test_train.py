@@ -1,13 +1,14 @@
 """Training harness: schedule, smoke runs, determinism, resume, tables."""
 
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sase.autodiff import Tensor
-from sase.data import generate_corpus, load_pair
+from sase.data import PREFETCH_THREAD, generate_corpus, load_pair
 from sase.errors import DataError, NumericalError
 from sase.losses import LossBreakdown, si_sdr
 from sase.model import ModelConfig
@@ -188,6 +189,18 @@ def test_nan_loss_aborts_with_diagnostics(micro_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr("sase.train.utterance_loss", poisoned)
     with pytest.raises(NumericalError, match="epoch 1, batch 0"):
         train(micro_corpus, gru_config(), tmp_path / "run")
+
+
+def test_nan_loss_leaves_no_prefetch_thread(micro_corpus, tmp_path,
+                                            monkeypatch):
+    def poisoned(pair, params, model_config, config, label):
+        return LossBreakdown(total=Tensor(np.array(np.nan)), sdr_speech=0.0,
+                             sdr_noise=0.0, cross_entropy=0.0)
+
+    monkeypatch.setattr("sase.train.utterance_loss", poisoned)
+    with pytest.raises(NumericalError):
+        train(micro_corpus, gru_config(batch_size=1), tmp_path / "run")
+    assert not [t for t in threading.enumerate() if t.name == PREFETCH_THREAD]
 
 
 def test_evaluate_aggregate_is_mean(micro_corpus, tmp_path):
