@@ -39,7 +39,7 @@ def main():
     posterior = np.array([0.1, 0.7, 0.2])
     breakdown = multitask_loss(s, x.copy(), x, 1, posterior,
                                LossConfig(alpha=0.5))
-    print(f"multitask: total {breakdown.totals():+.4f},"
+    print(f"multitask: total {float(breakdown.total.data):+.4f},"
           f" ce {breakdown.cross_entropy:.4f}")
 
     # SI-SDR ignores gain; orthogonal noise at a tenth of the energy is

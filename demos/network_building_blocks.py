@@ -11,7 +11,7 @@ import numpy as np
 from sase.attention import MhsaSpec, init_mhsa, mhsa_module
 from sase.autodiff import Tensor
 from sase.layers import (conv2d, init_conv, init_linear, init_norm,
-                         instance_norm, leaky_relu, linear, softmax_vec)
+                         instance_norm, leaky_relu, linear, softmax)
 from sase.rnn import BiRnnSpec, birnn, init_birnn
 
 
@@ -52,7 +52,7 @@ def main():
     # Classifier head: pooled logits through a softmax.
     init_linear(rng, params, "head", 3, 16)
     logits = linear(out, params["head.w"], params["head.b"])
-    pooled = softmax_vec(Tensor(logits.data.mean(axis=1)))
+    pooled = softmax(Tensor(logits.data.mean(axis=1)))
     print("speaker posterior:", np.round(pooled.data, 3),
           "sums to", float(pooled.data.sum()))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import as_tensor, concat, leaky_relu, matmul, transpose
 from .errors import ShapeError
-from .layers import Tensor, init_linear, init_norm, layer_norm, linear, softmax_rows
+from .layers import Tensor, init_linear, init_norm, layer_norm, linear, softmax
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def mhsa_attention(gamma, w_q, w_k, head_dim):
     q = matmul(as_tensor(w_q), gamma)
     k = matmul(as_tensor(w_k), gamma)
     scores = matmul(transpose(q), k) * (1.0 / np.sqrt(head_dim))
-    return softmax_rows(scores)
+    return softmax(scores)
 
 
 def mhsa_module(gamma, params, prefix, spec, attention_sink=None):

@@ -59,10 +59,6 @@ class Tape:
     def __len__(self):
         return len(self.nodes)
 
-    def reset(self):
-        """Drop all recorded nodes (frees the graph)."""
-        self.nodes.clear()
-
 
 class _Node:
     __slots__ = ("parents", "vjp", "name")
@@ -217,27 +213,6 @@ def backward(root):
     return leaves
 
 
-# ---------------------------------------------------------------------------
-# primitive registry
-
-PRIMITIVES = {}
-
-
-def _primitive(name):
-    def deco(fn):
-        PRIMITIVES[name] = fn
-        return fn
-
-    return deco
-
-
-def forward_primitive(kind, *inputs, **kwargs):
-    """Dispatch a primitive by name (the op-kind registry surface)."""
-    if kind not in PRIMITIVES:
-        raise KeyError(f"unknown primitive {kind!r}; known: {sorted(PRIMITIVES)}")
-    return PRIMITIVES[kind](*inputs, **kwargs)
-
-
 def _is_scalar_like(t):
     return t.data.ndim == 0
 
@@ -261,7 +236,6 @@ def _unbroadcast(g, shape):
 # elementwise primitives
 
 
-@_primitive("add")
 def add(a, b):
     a, b = _elementwise_pair("add", a, b)
 
@@ -271,7 +245,6 @@ def add(a, b):
     return _record(a.data + b.data, (a, b), vjp, "add")
 
 
-@_primitive("sub")
 def sub(a, b):
     a, b = _elementwise_pair("sub", a, b)
 
@@ -281,7 +254,6 @@ def sub(a, b):
     return _record(a.data - b.data, (a, b), vjp, "sub")
 
 
-@_primitive("mul")
 def mul(a, b):
     a, b = _elementwise_pair("mul", a, b)
 
@@ -291,7 +263,6 @@ def mul(a, b):
     return _record(a.data * b.data, (a, b), vjp, "mul")
 
 
-@_primitive("div")
 def div(a, b):
     a, b = _elementwise_pair("div", a, b)
 
@@ -304,20 +275,17 @@ def div(a, b):
     return _record(a.data / b.data, (a, b), vjp, "div")
 
 
-@_primitive("neg")
 def neg(a):
     a = as_tensor(a)
     return _record(-a.data, (a,), lambda g: (-g,), "neg")
 
 
-@_primitive("tanh")
 def tanh(a):
     a = as_tensor(a)
     y = np.tanh(a.data)
     return _record(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
 
 
-@_primitive("sigmoid")
 def sigmoid(a):
     a = as_tensor(a)
     z = np.exp(-np.abs(a.data))  # sign split avoids overflow in exp
@@ -325,34 +293,29 @@ def sigmoid(a):
     return _record(y, (a,), lambda g: (g * y * (1.0 - y),), "sigmoid")
 
 
-@_primitive("exp")
 def exp(a):
     a = as_tensor(a)
     y = np.exp(a.data)
     return _record(y, (a,), lambda g: (g * y,), "exp")
 
 
-@_primitive("log")
 def log(a):
     a = as_tensor(a)
     return _record(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
-@_primitive("sqrt")
 def sqrt(a):
     a = as_tensor(a)
     y = np.sqrt(a.data)
     return _record(y, (a,), lambda g: (g * 0.5 / y,), "sqrt")
 
 
-@_primitive("leaky_relu")
 def leaky_relu(a, slope=0.01):
     a = as_tensor(a)
     factor = np.where(a.data >= 0, 1.0, slope)
     return _record(a.data * factor, (a,), lambda g: (g * factor,), "leaky_relu")
 
 
-@_primitive("clamp_min")
 def clamp_min(a, floor):
     """max(a, floor) with pass-through gradient on the unclamped region."""
     a = as_tensor(a)
@@ -364,7 +327,6 @@ def clamp_min(a, floor):
 # linear algebra / shape primitives
 
 
-@_primitive("matmul")
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -376,7 +338,6 @@ def matmul(a, b):
     return _record(a.data @ b.data, (a, b), vjp, "matmul")
 
 
-@_primitive("transpose")
 def transpose(a, axes=None):
     a = as_tensor(a)
     axes_ = tuple(range(a.data.ndim))[::-1] if axes is None else tuple(axes)
@@ -385,14 +346,12 @@ def transpose(a, axes=None):
                    lambda g: (np.transpose(g, inverse),), "transpose")
 
 
-@_primitive("reshape")
 def reshape(a, shape):
     a = as_tensor(a)
     old = a.shape
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),), "reshape")
 
 
-@_primitive("concat")
 def concat(tensors, axis=0):
     ts = [as_tensor(t) for t in tensors]
     if not ts:
@@ -415,7 +374,6 @@ def concat(tensors, axis=0):
     return _record(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), vjp, "concat")
 
 
-@_primitive("slice")
 def slice_(a, index):
     a = as_tensor(a)
     if not isinstance(index, tuple):
@@ -448,7 +406,6 @@ def _expand_reduced(g, shape, axes, keepdims):
     return np.broadcast_to(g, shape)
 
 
-@_primitive("reduce_sum")
 def reduce_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.data.ndim)
@@ -460,7 +417,6 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _record(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), vjp, "reduce_sum")
 
 
-@_primitive("reduce_mean")
 def reduce_mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.data.ndim)
@@ -473,7 +429,6 @@ def reduce_mean(a, axis=None, keepdims=False):
     return _record(np.mean(a.data, axis=axes, keepdims=keepdims), (a,), vjp, "reduce_mean")
 
 
-@_primitive("broadcast")
 def broadcast_to(a, shape):
     a = as_tensor(a)
     shape = tuple(shape)

@@ -20,6 +20,7 @@ from .checkpoint import load_config, load_params
 from .data import generate_corpus, load_manifest
 from .dsp import StftConfig
 from .errors import DataError, NumericalError, ShapeError
+from .layers import softmax
 from .model import ModelConfig, enhance
 from .train import TrainConfig, evaluate_entries, run_verification_experiment
 from .train import train as run_train
@@ -150,9 +151,7 @@ def cmd_train(args):
 
 
 def _frame_posteriors(logits):
-    z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=0, keepdims=True)).T  # rows = frames
+    return softmax(logits.T).data  # rows = frames
 
 
 def cmd_enhance(args):

@@ -23,6 +23,7 @@ from .errors import DataError
 NOISE_KINDS = ("white", "bandpass", "modulated")
 BUCKET_RATIO = 1.25
 PREFETCH_THREAD = "sase-prefetch"
+PREFETCH_DEPTH = 2  # loaded batches the worker may hold ahead of the consumer
 PREFETCH_POLL_S = 0.1  # how often a blocked worker checks for a stop
 
 
@@ -178,7 +179,6 @@ class Manifest:
     root: Path
     sample_rate: int
     entries: list = field(default_factory=list)
-    stats: str = None  # optional path to exported normalization stats
 
     def split_entries(self, split):
         return [e for e in self.entries if e["split"] == split]
@@ -191,8 +191,7 @@ class Manifest:
 def save_manifest(manifest, path):
     path = Path(path)
     with path.open("w") as fh:
-        header = {"kind": "header", "sample_rate": manifest.sample_rate,
-                  "stats": manifest.stats}
+        header = {"kind": "header", "sample_rate": manifest.sample_rate}
         fh.write(json.dumps(header) + "\n")
         for e in manifest.entries:
             fh.write(json.dumps(e) + "\n")
@@ -202,7 +201,7 @@ def load_manifest(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
-    sample_rate, stats, entries = 16000, None, []
+    sample_rate, entries = 16000, []
     with path.open() as fh:
         for line in fh:
             line = line.strip()
@@ -211,11 +210,9 @@ def load_manifest(path):
             rec = json.loads(line)
             if rec.get("kind") == "header":
                 sample_rate = rec["sample_rate"]
-                stats = rec.get("stats")
             else:
                 entries.append(rec)
-    return Manifest(root=path.parent, sample_rate=sample_rate,
-                    entries=entries, stats=stats)
+    return Manifest(root=path.parent, sample_rate=sample_rate, entries=entries)
 
 
 def load_pair(manifest, entry):
@@ -320,15 +317,12 @@ def make_batches(entries, batch_size, seed, stft_config=StftConfig()):
     return batches
 
 
-def iter_loaded_batches(manifest, batches, prefetch=2):
-    """Yield lists of UtterancePairs; a worker thread stays one batch
-    ahead of the consumer so decoding overlaps compute. Closing the
-    generator (or dropping it when the consumer raises) stops the worker."""
-    if prefetch < 1:
-        for batch in batches:
-            yield [load_pair(manifest, e) for e in batch]
-        return
-    q = queue.Queue(maxsize=prefetch)
+def iter_loaded_batches(manifest, batches):
+    """Yield lists of UtterancePairs; a worker thread loads up to
+    PREFETCH_DEPTH batches ahead of the consumer so decoding overlaps
+    compute. Closing the generator (or dropping it when the consumer
+    raises) stops the worker."""
+    q = queue.Queue(maxsize=PREFETCH_DEPTH)
     sentinel = object()
     fail = []
     stop = threading.Event()

@@ -7,9 +7,9 @@ then divides by the achieved window envelope, which makes the round trip
 exact to machine precision even at the edges where frame coverage is
 partial.
 
-Two synthesis paths share the same arithmetic: ``istft`` on plain arrays
-for inference, and ``istft_tensors`` built from tape primitives so the
-mask can be trained through the waveform-domain loss.
+Synthesis is built from tape primitives (``istft_tensors``) so the mask
+can be trained through the waveform-domain loss; ``istft`` runs the same
+primitives on a Spectrogram, which records nothing outside a Tape.
 """
 
 import functools
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .autodiff import Tensor, _primitive, _record, as_tensor, div, mul
+from .autodiff import Tensor, _record, as_tensor, concat, div, mul
 from .errors import DataError, ShapeError
 
 EPS = 1e-8
@@ -153,26 +153,12 @@ def istft(spec, config, target_length):
         raise DataError("istft config does not match the spectrogram's config")
     if spec.real.shape[0] != config.n_bins:
         raise ShapeError("istft", spec.real.shape, (config.n_bins, -1))
-    frames = np.fft.irfft(spec.real + 1j * spec.imag, n=config.dft_size, axis=0)
-    frames = frames[:config.window_length]
-    _, ws = _windows_for(config)
-    n_frames = frames.shape[1]
-    length = config.window_length + (n_frames - 1) * config.hop
-    sig = np.zeros(length)
-    idx = (np.arange(config.window_length)[:, None]
-           + config.hop * np.arange(n_frames)[None, :])
-    np.add.at(sig, idx, frames * ws[:, None])
-    sig = sig / _ola_envelope(config, n_frames)
-    out = sig[config.pad:config.pad + target_length]
-    if out.size < target_length:
-        out = np.pad(out, (0, target_length - out.size))
-    return out
+    return istft_tensors(spec.real, spec.imag, config, target_length).data
 
 
 # ---------------------------------------------------------------------------
-# tape primitives for the differentiable synthesis path
+# synthesis: tape primitives, recorded only under an active Tape
 
-@_primitive("irfft_cols")
 def irfft_cols(re, im, dft_size):
     """Column-wise inverse real FFT of a one-sided spectrum pair.
 
@@ -197,7 +183,6 @@ def irfft_cols(re, im, dft_size):
     return _record(frames, (re, im), vjp, "irfft_cols")
 
 
-@_primitive("overlap_add")
 def overlap_add(frames, hop):
     """Sum window_length x K frames into a signal at the given hop."""
     frames = as_tensor(frames)
@@ -212,7 +197,11 @@ def overlap_add(frames, hop):
 
 
 def istft_tensors(re, im, config, target_length):
-    """Differentiable istft; numerically identical to the plain path."""
+    """Differentiable istft of a one-sided spectrum pair.
+
+    Samples past the synthesized span are zero-filled; being constants,
+    they pass no gradient back.
+    """
     re, im = as_tensor(re), as_tensor(im)
     frames = irfft_cols(re, im, config.dft_size)
     if config.dft_size != config.window_length:
@@ -224,11 +213,12 @@ def istft_tensors(re, im, config, target_length):
     sig = overlap_add(mul(frames, Tensor(wide)), config.hop)
     env = Tensor(_ola_envelope(config, n_frames))
     sig = div(sig, env)
+    span = sig.shape[0]
     end = config.pad + target_length
-    if end > sig.data.size:
-        raise DataError(f"target_length {target_length} exceeds synthesized"
-                        f" span of {sig.data.size - config.pad} samples")
-    return sig[slice(config.pad, end)]
+    out = sig[slice(config.pad, min(end, span))]
+    if end > span:
+        out = concat([out, Tensor(np.zeros(end - span))])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import (
     Tensor,
-    _primitive,
     _record,
     as_tensor,
     broadcast_to,
@@ -44,7 +43,6 @@ def _row_band(xp, kw, sw):
     return np.ascontiguousarray(windows.transpose(0, 3, 1, 2))
 
 
-@_primitive("conv2d")
 def conv2d(x, w, b, padding=(2, 2), stride=(1, 1)):
     """Zero-padded 2-D cross-correlation.
 
@@ -142,24 +140,14 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # ---------------------------------------------------------------------------
 # softmax
 
-def softmax_vec(x):
-    """Stable softmax of a 1-D tensor."""
+def softmax(x):
+    """Stable softmax over the last axis."""
     x = as_tensor(x)
-    # max subtraction is a constant shift: gradient-transparent by design
-    shifted = x - float(x.data.max())
-    e = exp(shifted)
-    total = reduce_sum(e)
-    return e / broadcast_to(reshape(total, (1,) * e.data.ndim), e.shape)
-
-
-def softmax_rows(x):
-    """Row-wise stable softmax of a 2-D tensor."""
-    x = as_tensor(x)
-    k1, k2 = x.shape
-    shift = Tensor(np.broadcast_to(x.data.max(axis=1, keepdims=True), x.shape).copy())
+    # the max shift is a constant: gradient-transparent by design
+    shift = Tensor(np.broadcast_to(x.data.max(axis=-1, keepdims=True),
+                                   x.shape).copy())
     e = exp(x - shift)
-    total = reduce_sum(e, axis=1)
-    return e / broadcast_to(reshape(total, (k1, 1)), x.shape)
+    return e / broadcast_to(reduce_sum(e, axis=-1, keepdims=True), x.shape)
 
 
 # ---------------------------------------------------------------------------

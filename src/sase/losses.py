@@ -41,9 +41,6 @@ class LossBreakdown:
     sdr_noise: float  # clip[SDR(n, m)]
     cross_entropy: float
 
-    def totals(self):
-        return float(self.total.data)
-
 
 def clip(x, beta):
     """Soft clip: beta * tanh(x / beta); odd, bounded by +-beta."""

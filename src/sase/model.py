@@ -37,7 +37,7 @@ from .layers import (
     instance_norm,
     leaky_relu,
     linear,
-    softmax_vec,
+    softmax,
 )
 from .rnn import BiRnnSpec, birnn, init_birnn
 
@@ -268,7 +268,7 @@ def forward(spec_x, params, config, trace=None):
         out.speaker_logits = linear(aux, params["spk_head.w"],
                                     params["spk_head.b"])
         pooled = reduce_mean(out.speaker_logits, axis=1)
-        out.posterior = softmax_vec(pooled)
+        out.posterior = softmax(pooled)
         if trace is not None:
             trace["Lambda"] = aux.data.copy()
     return out
@@ -285,13 +285,11 @@ def _missing_params(params, config):
     return [p for p in probes if p not in params]
 
 
-def enhance(waveform, params, config, stft_config=StftConfig(),
-            mask_override=None):
+def enhance(waveform, params, config, stft_config=StftConfig()):
     """y = istft(mask * stft(x)); returns (waveform, ModelOutput)."""
     x = np.asarray(waveform, dtype=np.float64)
     spec_x = stft(x, stft_config)
     output = forward(spec_x, params, config)
-    mask = mask_override if mask_override is not None else output.mask
-    enhanced = apply_mask(spec_x, mask)
+    enhanced = apply_mask(spec_x, output.mask)
     y = istft(enhanced, stft_config, x.size)
     return y, output

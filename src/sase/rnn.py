@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, broadcast_to, concat, matmul, reshape, sigmoid, tanh
+from .autodiff import (Tensor, as_tensor, broadcast_to, concat, matmul, reshape,
+                       sigmoid, tanh)
 from .errors import ShapeError
 
 
@@ -58,58 +59,59 @@ def init_birnn(rng, params, prefix, spec):
                                          requires_grad=True, name=f"{base}.b")
 
 
-def _gru_direction(x, w_x, w_h, b, reverse):
-    h = w_h.shape[1]
+def _gru_cell(at, u, carry):
+    """Gates [r, z, n]; carries (h,)."""
+    (state,) = carry
+    h = state.shape[0]
+    r = sigmoid(at[0:h] + u[0:h])
+    z = sigmoid(at[h:2 * h] + u[h:2 * h])
+    n = tanh(at[2 * h:3 * h] + r * u[2 * h:3 * h])
+    return ((1.0 - z) * n + z * state,)
+
+
+def _lstm_cell(at, u, carry):
+    """Gates [i, f, o, g]; carries (h, c)."""
+    _, cell = carry
+    h = cell.shape[0]
+    i = sigmoid(at[0:h] + u[0:h])
+    f = sigmoid(at[h:2 * h] + u[h:2 * h])
+    o = sigmoid(at[2 * h:3 * h] + u[2 * h:3 * h])
+    g = tanh(at[3 * h:4 * h] + u[3 * h:4 * h])
+    cell = f * cell + i * g
+    return o * tanh(cell), cell
+
+
+# cell kind -> (step, number of carried (h, 1) states)
+_CELLS = {"gru": (_gru_cell, 1), "lstm": (_lstm_cell, 2)}
+
+
+def _direction(x, w_x, w_h, b, reverse, cell):
+    """One direction of a recurrence of the given cell kind over (in, K)
+    columns; the first carried state is the output h."""
+    step, n_carry = _CELLS[cell]
+    gh, h = w_h.shape
     k = x.shape[1]
-    a = matmul(w_x, x) + broadcast_to(reshape(b, (3 * h, 1)), (3 * h, k))
-    state = Tensor(np.zeros((h, 1)))
+    a = matmul(w_x, x) + broadcast_to(reshape(b, (gh, 1)), (gh, k))
+    carry = (Tensor(np.zeros((h, 1))),) * n_carry
     order = range(k - 1, -1, -1) if reverse else range(k)
     outs = [None] * k
     for t in order:
-        at = a[:, t:t + 1]
-        u = matmul(w_h, state)
-        r = sigmoid(at[0:h] + u[0:h])
-        z = sigmoid(at[h:2 * h] + u[h:2 * h])
-        n = tanh(at[2 * h:3 * h] + r * u[2 * h:3 * h])
-        state = (1.0 - z) * n + z * state
-        outs[t] = state
-    return concat(outs, axis=1)
-
-
-def _lstm_direction(x, w_x, w_h, b, reverse):
-    h = w_h.shape[1]
-    k = x.shape[1]
-    a = matmul(w_x, x) + broadcast_to(reshape(b, (4 * h, 1)), (4 * h, k))
-    state = Tensor(np.zeros((h, 1)))
-    cell = Tensor(np.zeros((h, 1)))
-    order = range(k - 1, -1, -1) if reverse else range(k)
-    outs = [None] * k
-    for t in order:
-        at = a[:, t:t + 1]
-        u = matmul(w_h, state)
-        i = sigmoid(at[0:h] + u[0:h])
-        f = sigmoid(at[h:2 * h] + u[h:2 * h])
-        o = sigmoid(at[2 * h:3 * h] + u[2 * h:3 * h])
-        g = tanh(at[3 * h:4 * h] + u[3 * h:4 * h])
-        cell = f * cell + i * g
-        state = o * tanh(cell)
-        outs[t] = state
+        carry = step(a[:, t:t + 1], matmul(w_h, carry[0]), carry)
+        outs[t] = carry[0]
     return concat(outs, axis=1)
 
 
 def birnn(x, params, prefix, spec):
     """Stacked bidirectional recurrence: (input_dim, K) -> (2*hidden, K)."""
-    from .autodiff import as_tensor
     x = as_tensor(x)
     if x.shape[0] != spec.input_dim:
         raise ShapeError("birnn", x.shape, detail=f"expected {spec.input_dim} rows")
-    run = _gru_direction if spec.cell == "gru" else _lstm_direction
     out = x
     for layer in range(spec.layers):
         base = f"{prefix}.l{layer}"
-        fw = run(out, params[f"{base}.fw.w_x"], params[f"{base}.fw.w_h"],
-                 params[f"{base}.fw.b"], reverse=False)
-        bw = run(out, params[f"{base}.bw.w_x"], params[f"{base}.bw.w_h"],
-                 params[f"{base}.bw.b"], reverse=True)
+        fw = _direction(out, params[f"{base}.fw.w_x"], params[f"{base}.fw.w_h"],
+                        params[f"{base}.fw.b"], False, spec.cell)
+        bw = _direction(out, params[f"{base}.bw.w_x"], params[f"{base}.bw.w_h"],
+                        params[f"{base}.bw.b"], True, spec.cell)
         out = concat([fw, bw], axis=0)
     return out

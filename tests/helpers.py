@@ -15,6 +15,7 @@ from sase.autodiff import (
     reshape,
     sqrt,
 )
+from sase.dsp import _ola_envelope, _windows_for
 
 
 def tape_gradient(params, name, forward_fn):
@@ -154,3 +155,19 @@ def composed_layer_norm(x, gamma, beta, eps=1e-5):
     gamma_b = broadcast_to(reshape(as_tensor(gamma), (n, 1)), x.shape)
     beta_b = broadcast_to(reshape(as_tensor(beta), (n, 1)), x.shape)
     return normed * gamma_b + beta_b
+
+
+def plain_istft(spec, config, target_length):
+    """numpy iSTFT with an ``np.add.at`` overlap-add: the oracle for the
+    tape-built ``sase.dsp.istft_tensors``."""
+    frames = np.fft.irfft(spec.real + 1j * spec.imag, n=config.dft_size, axis=0)
+    frames = frames[:config.window_length]
+    _, ws = _windows_for(config)
+    n_frames = frames.shape[1]
+    sig = np.zeros(config.window_length + (n_frames - 1) * config.hop)
+    idx = (np.arange(config.window_length)[:, None]
+           + config.hop * np.arange(n_frames)[None, :])
+    np.add.at(sig, idx, frames * ws[:, None])
+    sig = sig / _ola_envelope(config, n_frames)
+    out = sig[config.pad:config.pad + target_length]
+    return np.pad(out, (0, target_length - out.size))

@@ -10,7 +10,6 @@ from sase.autodiff import (
     Tensor,
     backward,
     finite_difference_grad,
-    forward_primitive,
     parameter,
     zero_grads,
 )
@@ -53,13 +52,6 @@ def test_tanh_at_zero():
 def test_reduce_mean_value():
     m = ad.reduce_mean(Tensor([1.0, 2.0, 3.0, 4.0]))
     assert m.data == pytest.approx(2.5)
-
-
-def test_registry_dispatch():
-    x = Tensor([0.0, 1.0])
-    npt.assert_allclose(forward_primitive("tanh", x).data, np.tanh([0.0, 1.0]))
-    with pytest.raises(KeyError):
-        forward_primitive("no_such_op", x)
 
 
 def test_scalar_operands():

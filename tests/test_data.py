@@ -1,5 +1,6 @@
 """Corpus generation, augmentation, batching, and protocol splits."""
 
+import json
 import threading
 
 import numpy as np
@@ -224,6 +225,17 @@ def test_manifest_round_trip(corpus, tmp_path):
     assert loaded.entries == corpus.entries
 
 
+def test_manifest_header_with_null_stats_loads(corpus, tmp_path):
+    # Older corpora wrote a "stats": null field into the header.
+    path = tmp_path / "m.jsonl"
+    header = {"kind": "header", "sample_rate": 8000, "stats": None}
+    path.write_text("\n".join(json.dumps(rec) for rec in
+                              [header, *corpus.entries]) + "\n")
+    loaded = load_manifest(path)
+    assert loaded.sample_rate == 8000
+    assert loaded.entries == corpus.entries
+
+
 def test_load_pair_round_trip(corpus):
     entry = corpus.entries[0]
     pair = load_pair(corpus, entry)
@@ -280,7 +292,7 @@ def test_prefetch_preserves_order(corpus):
     entries = corpus.split_entries("train")[:6]
     batches = [entries[:3], entries[3:6]]
     eager = [[load_pair(corpus, e) for e in b] for b in batches]
-    threaded = list(iter_loaded_batches(corpus, batches, prefetch=2))
+    threaded = list(iter_loaded_batches(corpus, batches))
     assert len(threaded) == 2
     for eb, tb in zip(eager, threaded):
         for ep, tp in zip(eb, tb):
@@ -293,7 +305,7 @@ def _prefetch_threads():
 
 def test_prefetch_worker_stops_when_generator_closes(corpus):
     batches = [[e] for e in corpus.entries[:6]]
-    loaded = iter_loaded_batches(corpus, batches, prefetch=1)
+    loaded = iter_loaded_batches(corpus, batches)
     next(loaded)
     assert _prefetch_threads()  # the worker is blocked on a full queue
     loaded.close()
@@ -304,7 +316,7 @@ def test_prefetch_worker_stops_when_consumer_raises(corpus):
     batches = [[e] for e in corpus.entries[:6]]
 
     def consume():
-        for _ in iter_loaded_batches(corpus, batches, prefetch=1):
+        for _ in iter_loaded_batches(corpus, batches):
             raise NumericalError("synthetic failure")
 
     with pytest.raises(NumericalError):

@@ -11,7 +11,7 @@ of its frame energy inside +-1 bin.
 import numpy as np
 import pytest
 
-from sase.autodiff import Tape, Tensor, backward, finite_difference_grad
+from sase.autodiff import Tape, Tensor, backward, finite_difference_grad, reduce_sum
 from sase.dsp import (
     ComplexMask,
     Spectrogram,
@@ -27,6 +27,8 @@ from sase.dsp import (
     stft,
 )
 from sase.errors import DataError, ShapeError
+
+from helpers import plain_istft
 
 
 CFG = StftConfig()
@@ -183,7 +185,10 @@ def test_istft_tensors_matches_plain_istft():
     x = rng.normal(size=3000)
     spec = stft(x, CFG)
     out = istft_tensors(Tensor(spec.real), Tensor(spec.imag), CFG, 3000)
-    np.testing.assert_allclose(out.data, istft(spec, CFG, 3000), atol=1e-12)
+    np.testing.assert_allclose(out.data, plain_istft(spec, CFG, 3000), atol=1e-12)
+    # past the synthesized span both zero-fill
+    np.testing.assert_array_equal(istft(spec, CFG, 3500),
+                                  plain_istft(spec, CFG, 3500))
 
 
 def test_istft_tensors_gradient_matches_fd():
@@ -209,6 +214,36 @@ def test_istft_tensors_gradient_matches_fd():
     np.testing.assert_allclose(grads[im], fd_im, rtol=1e-6, atol=1e-9)
     # DC and Nyquist imaginary parts never reach the signal.
     assert not grads[im][0].any() and not grads[im][-1].any()
+
+
+def test_istft_tensors_zero_tail_takes_no_gradient():
+    rng = np.random.default_rng(9)
+    re0 = rng.normal(size=(9, 6))
+    span = TINY.window_length + 5 * TINY.hop - TINY.pad  # 6 frames, past the pad
+    target = span + 7
+    probe = rng.normal(size=target)
+    tail = np.where(np.arange(target) >= span, probe, 0.0)
+
+    def run(re_arr, weights):
+        out = istft_tensors(Tensor(re_arr), Tensor(np.zeros_like(re0)), TINY,
+                            target)
+        return float(out.data @ weights)
+
+    def tape_grad(weights):
+        re = Tensor(re0, requires_grad=True)
+        with Tape():
+            out = istft_tensors(re, Tensor(np.zeros_like(re0)), TINY, target)
+            grads = backward(reduce_sum(out * Tensor(weights)))
+        return out, grads[re]
+
+    out, g_full = tape_grad(probe)
+    assert out.shape == (target,) and not out.data[span:].any()
+    np.testing.assert_allclose(
+        g_full, finite_difference_grad(lambda a: run(a, probe), re0),
+        rtol=1e-6, atol=1e-9)
+    _, g_tail = tape_grad(tail)
+    assert not g_tail.any()
+    assert not finite_difference_grad(lambda a: run(a, tail), re0).any()
 
 
 # ---------------------------------------------------------------------------

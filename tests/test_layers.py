@@ -10,8 +10,7 @@ from sase.layers import (
     instance_norm,
     layer_norm,
     linear,
-    softmax_rows,
-    softmax_vec,
+    softmax,
 )
 
 from helpers import (
@@ -338,48 +337,52 @@ def test_layer_norm_gradients_match_fd():
 # ---------------------------------------------------------------------------
 # softmax
 
+# one vector (the speaker posterior) and one matrix (attention rows)
+SOFTMAX_SHAPES = ((6,), (4, 5))
+
+
 def test_softmax_uniform():
-    np.testing.assert_allclose(softmax_vec(Tensor(np.full(5, 3.3))).data, 0.2,
-                               atol=1e-12)
+    for shape in SOFTMAX_SHAPES:
+        np.testing.assert_allclose(softmax(Tensor(np.full(shape, 3.3))).data,
+                                   1.0 / shape[-1], atol=1e-12)
 
 
 def test_softmax_closed_form():
-    out = softmax_vec(Tensor(np.array([0.0, np.log(3.0)])))
-    np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
+    out = softmax(Tensor(np.array([[0.0, np.log(3.0)], [np.log(4.0), 0.0]])))
+    np.testing.assert_allclose(out.data, [[0.25, 0.75], [0.8, 0.2]], atol=1e-12)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(10)
-    x = rng.normal(size=7)
-    a = softmax_vec(Tensor(x)).data
-    b = softmax_vec(Tensor(x + 123.4)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    for shape in SOFTMAX_SHAPES:
+        x = rng.normal(size=shape)
+        a = softmax(Tensor(x)).data
+        b = softmax(Tensor(x + 123.4)).data
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_softmax_rows_stochastic():
     rng = np.random.default_rng(11)
-    out = softmax_rows(Tensor(rng.normal(size=(6, 6)) * 4))
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-    assert (out.data > 0).all() and (out.data < 1).all()
+    for shape in SOFTMAX_SHAPES:
+        out = softmax(Tensor(rng.normal(size=shape) * 4))
+        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert (out.data > 0).all() and (out.data < 1).all()
+
+
+def _check_softmax_gradients(shape, seed):
+    rng = np.random.default_rng(seed)
+    params = {"x": Tensor(rng.normal(size=shape), requires_grad=True)}
+    probe = rng.normal(size=shape)
+
+    def forward():
+        return reduce_sum(softmax(params["x"]) * Tensor(probe))
+
+    check_param_gradients(params, forward)
 
 
 def test_softmax_gradients_match_fd():
-    rng = np.random.default_rng(12)
-    params = {"x": Tensor(rng.normal(size=(4, 5)), requires_grad=True)}
-    probe = rng.normal(size=(4, 5))
-
-    def forward():
-        return reduce_sum(softmax_rows(params["x"]) * Tensor(probe))
-
-    check_param_gradients(params, forward)
+    _check_softmax_gradients((4, 5), seed=12)
 
 
 def test_softmax_vec_gradients_match_fd():
-    rng = np.random.default_rng(13)
-    params = {"x": Tensor(rng.normal(size=6), requires_grad=True)}
-    probe = rng.normal(size=6)
-
-    def forward():
-        return reduce_sum(softmax_vec(params["x"]) * Tensor(probe))
-
-    check_param_gradients(params, forward)
+    _check_softmax_gradients((6,), seed=13)

@@ -199,7 +199,7 @@ def test_breakdown_recombines():
     assert isinstance(out, LossBreakdown)
     recombined = (-0.5 * (out.sdr_speech + out.sdr_noise)
                   + cfg.alpha * out.cross_entropy)
-    assert abs(out.totals() - recombined) < 1e-12
+    assert abs(float(out.total.data) - recombined) < 1e-12
 
 
 def test_bad_config_rejected():

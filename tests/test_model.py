@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sase.autodiff import Tape, backward, reduce_sum
-from sase.dsp import ComplexMask, Spectrogram, StftConfig, istft, stft
+from sase.dsp import Spectrogram, StftConfig, istft, stft
 from sase.errors import DataError
 from sase.losses import cross_entropy
 from sase.model import ModelConfig, enhance, forward, init_model
@@ -185,32 +185,6 @@ def test_full_arch_without_spk():
     assert out.posterior is None
     assert trace["B"].shape == (2 * cfg.d, 5)
     assert "Lambda" not in trace
-
-
-def test_enhance_identity_mask_round_trip():
-    cfg = ModelConfig(d=16, heads=2, n_bins=257, n_speakers=3, arch="gru")
-    params = init_model(cfg, seed=0)
-    rng = np.random.default_rng(8)
-    x = rng.normal(scale=0.2, size=4000)
-    sc = StftConfig()
-    f, k = stft(x, sc).real.shape
-    identity = ComplexMask(np.ones((f, k)), np.zeros((f, k)))
-    y, out = enhance(x, params, cfg, sc, mask_override=identity)
-    assert y.shape == x.shape
-    np.testing.assert_allclose(y, x, atol=1e-8)
-    assert out.mask_real.shape == (f, k)
-
-
-def test_enhance_zero_mask_gives_silence():
-    cfg = ModelConfig(d=16, heads=2, n_bins=257, n_speakers=3, arch="gru",
-                      use_spk=False)
-    params = init_model(cfg, seed=0)
-    x = np.random.default_rng(9).normal(scale=0.2, size=3000)
-    f = 257
-    k = stft(x, StftConfig()).real.shape[1]
-    zero = ComplexMask(np.zeros((f, k)), np.zeros((f, k)))
-    y, _ = enhance(x, params, cfg, mask_override=zero)
-    np.testing.assert_allclose(y, np.zeros_like(x), atol=1e-12)
 
 
 def test_enhance_applies_predicted_mask():

@@ -5,7 +5,7 @@ import pytest
 
 from sase.autodiff import Tensor, reduce_sum
 from sase.errors import ShapeError
-from sase.rnn import BiRnnSpec, _gru_direction, _lstm_direction, birnn, init_birnn
+from sase.rnn import BiRnnSpec, _direction, birnn, init_birnn
 
 from helpers import check_param_gradients
 
@@ -29,7 +29,7 @@ def test_gru_matches_scalar_hand_trace():
     n1 = np.tanh(0.8 * -2 + 0.3 + r1 * (-0.6 * h0))
     h1 = (1 - z1) * n1 + z1 * h0
 
-    out = _gru_direction(x, w_x, w_h, b, reverse=False)
+    out = _direction(x, w_x, w_h, b, reverse=False, cell="gru")
     np.testing.assert_allclose(out.data, [[h0, h1]], atol=1e-14)
 
 
@@ -53,7 +53,7 @@ def test_lstm_matches_scalar_hand_trace():
     c1 = f1 * c0 + i1 * g1
     h1 = o1 * np.tanh(c1)
 
-    out = _lstm_direction(x, w_x, w_h, b, reverse=False)
+    out = _direction(x, w_x, w_h, b, reverse=False, cell="lstm")
     np.testing.assert_allclose(out.data, [[h0, h1]], atol=1e-14)
 
 
